@@ -42,11 +42,11 @@ func TestCompressRoundTripEdgeCases(t *testing.T) {
 			}
 			// The wire form must satisfy its own validator.
 			limit := int(tc.posts[len(tc.posts)-1].ID) + 1
-			last, err := checkWirePostings(w, limit)
+			pl, err := checkWirePostings(w, limit)
 			if err != nil {
 				t.Fatalf("checkWirePostings rejects valid encoding: %v", err)
 			}
-			if last != tc.posts[len(tc.posts)-1].ID {
+			if last := pl.lastID; last != tc.posts[len(tc.posts)-1].ID {
 				t.Fatalf("checkWirePostings lastID = %d, want %d", last, tc.posts[len(tc.posts)-1].ID)
 			}
 		})

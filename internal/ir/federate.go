@@ -41,10 +41,11 @@ func GlobalIDF(nPass int, df []int) []float64 {
 	return idf
 }
 
-// SearchWeighted ranks this index's passages like Search but with
-// caller-supplied per-term idf weights (the global statistics of a
-// sharded corpus). Terms with weight 0 — or absent from this shard —
-// contribute nothing, mirroring Search's skip of empty posting lists.
+// SearchWeighted ranks this index's passages like Search — through the
+// same pruned kernel — but with caller-supplied per-term idf weights
+// (the global statistics of a sharded corpus). Terms with weight 0 — or
+// absent from this shard — contribute nothing, mirroring Search's skip
+// of empty posting lists.
 // Results carry the documents' global ordinals, which is what the
 // coordinator's cross-shard merge tie-breaks on.
 func (ix *Index) SearchWeighted(terms []string, idf []float64, k int) []Passage {
@@ -59,22 +60,9 @@ func (ix *Index) SearchWeighted(terms []string, idf []float64, k int) []Passage 
 		if i >= len(idf) || idf[i] == 0 {
 			continue
 		}
-		id, ok := ix.terms[term]
-		if !ok {
-			continue
-		}
-		for c := ix.postings[id].cursor(); ; {
-			pid, tf, ok := c.next()
-			if !ok {
-				break
-			}
-			acc.add(pid, (1+math.Log(float64(tf)))*idf[i])
+		if id, ok := ix.terms[term]; ok {
+			acc.addTerm(&ix.postings[id], idf[i])
 		}
 	}
-	ids := acc.rank(k)
-	out := make([]Passage, 0, len(ids))
-	for _, id := range ids {
-		out = append(out, ix.materializeLocked(int(id), acc.scores[id]))
-	}
-	return out
+	return ix.passagesLocked(acc, k)
 }

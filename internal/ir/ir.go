@@ -113,10 +113,11 @@ type Index struct {
 	// that already survived a crash.
 	byURL map[string]int
 
-	// tokTags / tokLemmas are the snapshot's tag and lemma intern tables,
-	// kept so lazy doc slots decode against them and Export reuses stored
+	// tokTags / tokLemmas are the snapshot's tag and lemma intern tables
+	// (tags parsed into the enum; Export prints their names back), kept
+	// so lazy doc slots decode against them and Export reuses stored
 	// blocks verbatim. Empty for an index built purely by Add.
-	tokTags   []string
+	tokTags   []nlp.Tag
 	tokLemmas []string
 
 	// terms is the interned term dictionary: lemma → dense term id.
@@ -204,9 +205,14 @@ func (ix *Index) sentsAt(d int) []nlp.Sentence {
 }
 
 // splitDoc validates and sentence-splits one document outside the lock.
+// Documents longer than math.MaxInt32 bytes are rejected: token offsets
+// are int32 (nlp.Token).
 func splitDoc(doc Document) ([]nlp.Sentence, error) {
 	if strings.TrimSpace(doc.Text) == "" {
 		return nil, fmt.Errorf("ir: empty document %q", doc.URL)
+	}
+	if len(doc.Text) > math.MaxInt32 {
+		return nil, fmt.Errorf("ir: document %q is %d bytes, over the %d-byte limit", doc.URL, len(doc.Text), math.MaxInt32)
 	}
 	sents := nlp.SplitSentences(doc.Text)
 	if len(sents) == 0 {
@@ -406,11 +412,13 @@ func QueryTerms(text string) []string {
 // Search itself does no lowercasing or deduplication.
 //
 // Scores accumulate in a pooled epoch-stamped sparse accumulator: only
-// passages that actually match a term are touched, so a query costs
-// O(matched postings + matches·log k) with zero per-query allocation
-// proportional to the index — the property that keeps cold-path
-// retrieval sublinear in corpus size (see PERF.md "Sparse retrieval").
-// Ranking is byte-identical to the dense SearchReference oracle.
+// passages that match a term are touched, with zero per-query allocation
+// proportional to the index (see PERF.md "Sparse retrieval"). The kernel
+// (kernel.go) prunes exactly: once the remaining terms cannot lift an
+// unseen passage into the top k, their lists only look up the passages
+// already seen, decoding just the skip blocks that hold one (PERF.md
+// "Pruned retrieval"). Ranking is byte-identical to the dense
+// SearchReference oracle.
 func (ix *Index) Search(terms []string, k int) []Passage {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
@@ -419,27 +427,29 @@ func (ix *Index) Search(terms []string, k int) []Passage {
 	}
 	acc := getAcc(len(ix.passages))
 	defer putAcc(acc)
-	nPass := float64(len(ix.passages))
+	ix.addTermsLocked(acc, terms, ix.postings, len(ix.passages))
+	return ix.passagesLocked(acc, k)
+}
+
+// addTermsLocked adds the query terms found in the dictionary to acc,
+// weighting each by its local idf log(1 + n/df) over the given store
+// (passage or document postings, n ids).
+func (ix *Index) addTermsLocked(acc *sparseAcc, terms []string, store []postingList, n int) {
 	for _, term := range terms {
 		id, ok := ix.terms[term]
 		if !ok {
 			continue
 		}
-		pl := &ix.postings[id]
-		n := pl.count()
-		if n == 0 {
-			continue
-		}
-		idf := math.Log(1 + nPass/float64(n))
-		for c := pl.cursor(); ; {
-			pid, tf, ok := c.next()
-			if !ok {
-				break
-			}
-			acc.add(pid, (1+math.Log(float64(tf)))*idf)
+		pl := &store[id]
+		if df := pl.count(); df > 0 {
+			acc.addTerm(pl, math.Log(1+float64(n)/float64(df)))
 		}
 	}
-	ids := acc.rank(k)
+}
+
+// passagesLocked ranks acc's terms and materialises the top-k passages.
+func (ix *Index) passagesLocked(acc *sparseAcc, k int) []Passage {
+	ids := acc.topK(k)
 	out := make([]Passage, 0, len(ids))
 	for _, id := range ids {
 		out = append(out, ix.materializeLocked(int(id), acc.scores[id]))
@@ -469,9 +479,9 @@ func (ix *Index) materializeLocked(id int, score float64) Passage {
 // SearchDocuments is the classical-IR baseline: rank whole documents by
 // tf-idf and return them in full. The caller (a user, per the paper) "has
 // to further search for the requested information" inside them. Like
-// Search it expects normalised terms and scores sparsely over the
-// document posting lists; SearchDocumentsReference retains the dense
-// oracle.
+// Search it expects normalised terms and ranks through the same pruned
+// kernel over the document posting lists; SearchDocumentsReference
+// retains the dense oracle.
 func (ix *Index) SearchDocuments(terms []string, k int) []DocResult {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
@@ -480,27 +490,8 @@ func (ix *Index) SearchDocuments(terms []string, k int) []DocResult {
 	}
 	acc := getAcc(len(ix.docs))
 	defer putAcc(acc)
-	nDocs := float64(len(ix.docs))
-	for _, term := range terms {
-		id, ok := ix.terms[term]
-		if !ok {
-			continue
-		}
-		pl := &ix.docPostings[id]
-		n := pl.count()
-		if n == 0 {
-			continue
-		}
-		idf := math.Log(1 + nDocs/float64(n))
-		for c := pl.cursor(); ; {
-			did, tf, ok := c.next()
-			if !ok {
-				break
-			}
-			acc.add(did, (1+math.Log(float64(tf)))*idf)
-		}
-	}
-	ids := acc.rank(k)
+	ix.addTermsLocked(acc, terms, ix.docPostings, len(ix.docs))
+	ids := acc.topK(k)
 	out := make([]DocResult, 0, len(ids))
 	for _, id := range ids {
 		out = append(out, DocResult{

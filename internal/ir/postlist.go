@@ -23,18 +23,39 @@ import "encoding/binary"
 // per-query allocation, preserving the exact (id, tf) sequence the raw
 // lists held — scores are a fold over that sequence, so rankings stay
 // byte-identical to the dense reference oracle.
+//
+// Each list also carries two derived fields for the pruned search kernel
+// (kernel.go): maxTF, which bounds the list's score contribution, and a
+// skip table with one entry per skipBlock encoded postings, which lets a
+// search decode only the blocks whose id range holds a candidate. Both
+// are maintained by add/flush and rebuilt by Import in its validation
+// walk; neither is part of the wire form, so snapshots do not change.
 
 // encodeThreshold is the raw-tail length that triggers a flush into the
 // encoded prefix. Lists shorter than this stay raw (rare terms), keeping
 // Add cheap; longer lists hold at most this many uncompressed postings.
 const encodeThreshold = 16
 
+// skipBlock is the number of encoded postings one skip entry covers.
+const skipBlock = 64
+
 // postingList is the in-memory hybrid form of one term's postings.
 type postingList struct {
-	enc    []byte    // delta/varint encoded prefix
-	encN   int32     // postings in enc
-	lastID int32     // last id in enc; -1 when encN == 0
-	raw    []Posting // uncompressed tail, ascending, ids > lastID
+	enc    []byte      // delta/varint encoded prefix
+	encN   int32       // postings in enc
+	lastID int32       // last id in enc; -1 when encN == 0
+	maxTF  int32       // largest tf in the list (enc and raw); 0 when empty
+	skips  []skipEntry // entry b covers encoded postings [b·skipBlock, (b+1)·skipBlock)
+	raw    []Posting   // uncompressed tail, ascending, ids > lastID
+}
+
+// skipEntry locates one block of the encoded prefix: decoding from byte
+// off with delta base base yields the block's postings, whose ids lie in
+// (base, last].
+type skipEntry struct {
+	off  int32 // byte offset of the block's first posting in enc
+	base int32 // id preceding the block (-1 for the first block)
+	last int32 // last id in the block
 }
 
 // count returns the number of postings in the list.
@@ -48,23 +69,29 @@ func (pl *postingList) bytes() int { return len(pl.enc) + 8*len(pl.raw) }
 // flushes the raw tail into the encoded prefix once it reaches the
 // threshold.
 func (pl *postingList) add(id, tf int32) {
+	pl.maxTF = max(pl.maxTF, tf)
 	pl.raw = append(pl.raw, Posting{ID: id, TF: tf})
 	if len(pl.raw) >= encodeThreshold {
 		pl.flush()
 	}
 }
 
-// flush encodes the raw tail onto the prefix. The encoding is positional
-// — each posting's bytes depend only on its predecessor in the full
-// sequence — so incremental flushes and a one-shot encode of the whole
-// list produce identical bytes.
+// flush encodes the raw tail onto the prefix, opening a skip entry at
+// every skipBlock boundary. The encoding is positional — each posting's
+// bytes depend only on its predecessor in the full sequence — so
+// incremental flushes and a one-shot encode of the whole list produce
+// identical bytes and identical skip tables.
 func (pl *postingList) flush() {
 	prev := pl.prevID()
 	for _, p := range pl.raw {
+		if pl.encN%skipBlock == 0 {
+			pl.skips = append(pl.skips, skipEntry{off: int32(len(pl.enc)), base: prev})
+		}
 		pl.enc = appendPosting(pl.enc, prev, p)
+		pl.skips[len(pl.skips)-1].last = p.ID
+		pl.encN++
 		prev = p.ID
 	}
-	pl.encN += int32(len(pl.raw))
 	pl.lastID = prev
 	pl.raw = pl.raw[:0]
 }
@@ -106,7 +133,8 @@ func (pl *postingList) cursor() postingCursor {
 func (c *postingCursor) next() (id, tf int32, ok bool) {
 	if c.rem > 0 {
 		c.rem--
-		gap, tfu := c.readPair()
+		var gap, tfu uint64
+		gap, tfu, c.pos = readPair(c.enc, c.pos)
 		c.prev += int32(gap)
 		return c.prev, int32(tfu), true
 	}
@@ -118,23 +146,22 @@ func (c *postingCursor) next() (id, tf int32, ok bool) {
 	return 0, 0, false
 }
 
-// readPair decodes the next (gap, tf) varint pair, with an inlined fast
-// path for the one-byte values that dominate dense lists. The cursor is
-// only ever built over streams the list itself encoded (or Import
-// validated), so truncation cannot occur; rem guards the loop.
-func (c *postingCursor) readPair() (gap, tf uint64) {
-	if c.pos+1 < len(c.enc) {
-		b0, b1 := c.enc[c.pos], c.enc[c.pos+1]
+// readPair decodes the (gap, tf) varint pair at enc[pos:] and returns the
+// position after it, with an inlined fast path for the one-byte values
+// that dominate dense lists. Callers only decode streams the list itself
+// encoded (or Import validated) and bound the loop by the posting count,
+// so truncation cannot occur.
+func readPair(enc []byte, pos int) (gap, tf uint64, next int) {
+	if pos+1 < len(enc) {
+		b0, b1 := enc[pos], enc[pos+1]
 		if b0 < 0x80 && b1 < 0x80 {
-			c.pos += 2
-			return uint64(b0), uint64(b1)
+			return uint64(b0), uint64(b1), pos + 2
 		}
 	}
-	gap, n := binary.Uvarint(c.enc[c.pos:])
-	c.pos += n
-	tf, n = binary.Uvarint(c.enc[c.pos:])
-	c.pos += n
-	return gap, tf
+	gap, n := binary.Uvarint(enc[pos:])
+	pos += n
+	tf, n = binary.Uvarint(enc[pos:])
+	return gap, tf, pos + n
 }
 
 // PostingList is the canonical wire form of one term's postings: the
@@ -196,42 +223,54 @@ func (pl *postingList) export() PostingList {
 	return PostingList{N: int32(n), Enc: enc}
 }
 
-// checkWirePostings validates a wire list: exact posting count, strictly
-// ascending ids inside [0, limit), tfs ≥ 1, no trailing bytes. Returns
-// the last id for adoption.
-func checkWirePostings(w PostingList, limit int) (lastID int32, err error) {
+// checkWirePostings validates a wire list — exact posting count, strictly
+// ascending ids inside [0, limit), tfs ≥ 1, no trailing bytes — and, in
+// the same walk, derives the in-memory list: lastID, maxTF and the skip
+// table. The encoding is adopted capacity-clamped, so a later flush
+// reallocates instead of growing into the snapshot buffer (whose tail
+// bytes other lists alias when the store hands out slices of one file
+// image).
+func checkWirePostings(w PostingList, limit int) (postingList, error) {
 	if w.N < 0 {
-		return 0, errNegativeCount
+		return postingList{}, errNegativeCount
 	}
+	pl := postingList{enc: w.Enc[:len(w.Enc):len(w.Enc)], encN: w.N}
 	prev := int32(-1)
 	pos := 0
 	for i := int32(0); i < w.N; i++ {
+		off := pos
 		gap, n := binary.Uvarint(w.Enc[pos:])
 		if n <= 0 {
-			return 0, errTruncatedList
+			return postingList{}, errTruncatedList
 		}
 		pos += n
 		tf, n := binary.Uvarint(w.Enc[pos:])
 		if n <= 0 {
-			return 0, errTruncatedList
+			return postingList{}, errTruncatedList
 		}
 		pos += n
 		if gap == 0 || gap > uint64(uint32(1)<<31-1) {
-			return 0, errBadGap
+			return postingList{}, errBadGap
 		}
 		id := int64(prev) + int64(gap)
 		if id >= int64(limit) {
-			return 0, errIDRange
+			return postingList{}, errIDRange
 		}
 		if tf < 1 || tf > uint64(uint32(1)<<31-1) {
-			return 0, errBadTF
+			return postingList{}, errBadTF
 		}
+		if i%skipBlock == 0 {
+			pl.skips = append(pl.skips, skipEntry{off: int32(off), base: prev})
+		}
+		pl.skips[len(pl.skips)-1].last = int32(id)
+		pl.maxTF = max(pl.maxTF, int32(tf))
 		prev = int32(id)
 	}
 	if pos != len(w.Enc) {
-		return 0, errTrailingBytes
+		return postingList{}, errTrailingBytes
 	}
-	return prev, nil
+	pl.lastID = prev
+	return pl, nil
 }
 
 // postingsBytesLocked sums posting storage across both stores. Caller

@@ -5,6 +5,8 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+
+	"dwqa/internal/nlp"
 )
 
 // This file is the retrieval half of the durability subsystem
@@ -64,7 +66,7 @@ func (ix *Index) Export() *Snapshot {
 		PassageSize: ix.passageSize,
 		Stride:      ix.stride,
 		Docs:        append([]Document(nil), ix.docs...),
-		TokTags:     append([]string(nil), ix.tokTags...),
+		TokTags:     make([]string, len(ix.tokTags)),
 		TokLemmas:   append([]string(nil), ix.tokLemmas...),
 		DocTokens:   make([][]byte, len(ix.docSents)),
 		DocSents:    make([]int32, len(ix.docSents)),
@@ -74,8 +76,9 @@ func (ix *Index) Export() *Snapshot {
 		Postings:    make([]PostingList, len(ix.postings)),
 		DocPostings: make([]PostingList, len(ix.docPostings)),
 	}
-	tagIdx := make(map[string]int, len(snap.TokTags))
-	for i, t := range snap.TokTags {
+	tagIdx := make(map[nlp.Tag]int, len(ix.tokTags))
+	for i, t := range ix.tokTags {
+		snap.TokTags[i] = t.String()
 		tagIdx[t] = i
 	}
 	lemmaIdx := make(map[string]int, len(snap.TokLemmas))
@@ -157,24 +160,27 @@ func (ix *Index) Import(snap *Snapshot) error {
 		}
 		terms[lemma] = int32(id)
 	}
-	checkLists := func(kind string, lists []PostingList, limit int) ([]int32, error) {
-		lastIDs := make([]int32, len(lists))
+	adopt := func(kind string, lists []PostingList, limit int) ([]postingList, error) {
+		out := make([]postingList, len(lists))
 		for id, w := range lists {
-			last, err := checkWirePostings(w, limit)
-			if err != nil {
+			var err error
+			if out[id], err = checkWirePostings(w, limit); err != nil {
 				return nil, fmt.Errorf("ir: import: term %d %s postings: %w", id, kind, err)
 			}
-			lastIDs[id] = last
 		}
-		return lastIDs, nil
+		return out, nil
 	}
-	passLast, err := checkLists("passage", snap.Postings, len(snap.Passages))
+	postings, err := adopt("passage", snap.Postings, len(snap.Passages))
 	if err != nil {
 		return err
 	}
-	docLast, err := checkLists("document", snap.DocPostings, len(snap.Docs))
+	docPostings, err := adopt("document", snap.DocPostings, len(snap.Docs))
 	if err != nil {
 		return err
+	}
+	tags, err := parseTagTable(snap.TokTags)
+	if err != nil {
+		return fmt.Errorf("ir: import: %w", err)
 	}
 	if err := ix.validateBlocks(snap); err != nil {
 		return err
@@ -189,7 +195,7 @@ func (ix *Index) Import(snap *Snapshot) error {
 			ix.byURL[d.URL] = i
 		}
 	}
-	ix.tokTags = snap.TokTags
+	ix.tokTags = tags
 	ix.tokLemmas = snap.TokLemmas
 	ix.docSents = make([]*docSlot, len(snap.Docs))
 	slots := make([]docSlot, len(snap.Docs))
@@ -204,17 +210,8 @@ func (ix *Index) Import(snap *Snapshot) error {
 		}
 	}
 	ix.terms = terms
-	// Capacity is clamped so a later Add's flush reallocates instead of
-	// growing in place into the snapshot buffer (whose tail bytes other
-	// lists alias when the store hands us slices of one file image).
-	ix.postings = make([]postingList, len(snap.Postings))
-	for i, w := range snap.Postings {
-		ix.postings[i] = postingList{enc: w.Enc[:len(w.Enc):len(w.Enc)], encN: w.N, lastID: passLast[i]}
-	}
-	ix.docPostings = make([]postingList, len(snap.DocPostings))
-	for i, w := range snap.DocPostings {
-		ix.docPostings[i] = postingList{enc: w.Enc[:len(w.Enc):len(w.Enc)], encN: w.N, lastID: docLast[i]}
-	}
+	ix.postings = postings
+	ix.docPostings = docPostings
 	return nil
 }
 

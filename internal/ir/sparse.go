@@ -9,18 +9,47 @@ import "sync"
 // increment, not an O(index) clear. Accumulators are recycled through
 // accPool, so the steady state allocates nothing per query regardless of
 // index size (the arrays grow monotonically to the largest index seen).
+//
+// The fields after epoch serve the pruned search kernel (kernel.go) and
+// are recycled with the accumulator, so a pruned search allocates no
+// scratch either. The sync.Pool drops idle accumulators at every GC; the
+// scratch of a typical query (up to 8 terms, k up to 16) starts in arrays
+// inside the struct, and touched/tfs start with room for a selective
+// query, so a fresh accumulator costs no more allocations than the
+// unpruned scorer's did.
 type sparseAcc struct {
 	stamp   []uint32
 	scores  []float64
-	touched []int32 // matched ids, in first-touch order
+	touched []int32 // matched ids, in first-touch order (ascending once a search prunes)
 	epoch   uint32
+
+	slot   []int32     // id → its tfs row (first-touch index), valid while the id's stamp is live
+	tfs    []int32     // tfs[slot·len(terms)+q]: the id's tf in term q (0 = absent)
+	terms  []queryTerm // the query's scored terms, in query order
+	order  []int       // term indexes by descending bound
+	rem    []float64   // rem[j]: bound sum of order[j:]
+	heap   []float64   // kthScore scratch
+	pruned bool        // the last topK stopped admitting ids before its last term
+
+	termBuf  [8]queryTerm
+	orderBuf [8]int
+	remBuf   [9]float64
+	heapBuf  [16]float64
+}
+
+// newAcc returns an empty accumulator whose small scratch slices use its
+// inline arrays.
+func newAcc() any {
+	a := new(sparseAcc)
+	a.terms, a.order, a.rem, a.heap = a.termBuf[:0], a.orderBuf[:0], a.remBuf[:0], a.heapBuf[:0]
+	return a
 }
 
 // accPool recycles accumulators across queries (and across indexes — an
 // accumulator is index-agnostic, sized on demand). Each Get hands the
 // caller exclusive ownership, so concurrent searches never share scratch
 // state.
-var accPool = sync.Pool{New: func() any { return new(sparseAcc) }}
+var accPool = sync.Pool{New: newAcc}
 
 // getAcc returns an accumulator ready for one query over n ids.
 func getAcc(n int) *sparseAcc {
@@ -28,15 +57,24 @@ func getAcc(n int) *sparseAcc {
 	if len(a.stamp) < n {
 		a.stamp = make([]uint32, n)
 		a.scores = make([]float64, n)
+		a.slot = make([]int32, n)
 		// Fresh stamps are all zero; epoch 0 must never be live. begin()
 		// below moves the epoch off zero before any add.
+	}
+	if a.touched == nil {
+		a.touched = make([]int32, 0, 256)
+		a.tfs = make([]int32, 0, 1024)
 	}
 	a.begin()
 	return a
 }
 
-// putAcc returns an accumulator to the pool.
-func putAcc(a *sparseAcc) { accPool.Put(a) }
+// putAcc returns an accumulator to the pool, dropping its references to
+// the index's posting lists.
+func putAcc(a *sparseAcc) {
+	clear(a.terms)
+	accPool.Put(a)
+}
 
 // begin starts a new query epoch. On the (astronomically rare) uint32
 // wrap the stamps are cleared so a slot last touched 2^32 queries ago
@@ -50,6 +88,8 @@ func (a *sparseAcc) begin() {
 		a.epoch = 1
 	}
 	a.touched = a.touched[:0]
+	a.tfs = a.tfs[:0]
+	a.terms = a.terms[:0]
 }
 
 // add accumulates weight w onto id, registering it on first touch.

@@ -35,19 +35,21 @@ var (
 // encodeTokenBlock appends one document's token stream to dst, interning
 // tags and lemmas into the shared tables (extended in first-occurrence
 // order — the append-only order that keeps previously encoded blocks'
-// indexes valid). Returns the extended dst and the token count.
-func encodeTokenBlock(dst []byte, sents []nlp.Sentence, tagIdx map[string]int, tags *[]string, lemmaIdx map[string]int, lemmas *[]string) ([]byte, int) {
+// indexes valid). The tag table holds tag names (Tag.String), so the
+// wire format does not depend on the enum's numbering. Returns the
+// extended dst and the token count.
+func encodeTokenBlock(dst []byte, sents []nlp.Sentence, tagIdx map[nlp.Tag]int, tags *[]string, lemmaIdx map[string]int, lemmas *[]string) ([]byte, int) {
 	tokens := 0
 	prev := int64(0)
 	for _, s := range sents {
 		dst = binary.AppendUvarint(dst, uint64(len(s.Tokens)))
 		tokens += len(s.Tokens)
 		for _, t := range s.Tokens {
-			ti, ok := tagIdx[string(t.Tag)]
+			ti, ok := tagIdx[t.Tag]
 			if !ok {
 				ti = len(*tags)
-				tagIdx[string(t.Tag)] = ti
-				*tags = append(*tags, string(t.Tag))
+				tagIdx[t.Tag] = ti
+				*tags = append(*tags, t.Tag.String())
 			}
 			li, ok := lemmaIdx[t.Lemma]
 			if !ok {
@@ -160,6 +162,20 @@ func walkTokenBlock(data []byte, textLen, nSents, nTokens, nTags, nLemmas int, e
 	return nil
 }
 
+// parseTagTable maps a snapshot's tag-name table onto the nlp.Tag enum,
+// rejecting a name outside the tag inventory.
+func parseTagTable(names []string) ([]nlp.Tag, error) {
+	tags := make([]nlp.Tag, len(names))
+	for i, name := range names {
+		t, ok := nlp.ParseTag(name)
+		if !ok {
+			return nil, fmt.Errorf("unknown tag %q in tag table", name)
+		}
+		tags[i] = t
+	}
+	return tags, nil
+}
+
 // validateTokenBlock structurally checks a wire block without
 // materialising tokens — the Import-time pass that makes lazy decode
 // infallible.
@@ -169,10 +185,11 @@ func validateTokenBlock(data []byte, textLen, nSents, nTokens, nTags, nLemmas in
 
 // decodeTokenBlock materialises a validated block: tokens land in a
 // single per-document arena (one allocation) with sentences as
-// subslices, token text sliced straight out of the document. Panics on a
-// malformed block — callers only reach here through Import, which
-// validated the block already.
-func decodeTokenBlock(data []byte, text string, nSents, nTokens int, tags, lemmas []string) []nlp.Sentence {
+// subslices, token text sliced straight out of the document. tags is the
+// snapshot's tag table already parsed into enum values (parseTagTable).
+// Panics on a malformed block — callers only reach here through Import,
+// which validated the block already.
+func decodeTokenBlock(data []byte, text string, nSents, nTokens int, tags []nlp.Tag, lemmas []string) []nlp.Sentence {
 	arena := make([]nlp.Token, nTokens)
 	counts := make([]int32, nSents)
 	err := walkTokenBlock(data, len(text), nSents, nTokens, len(tags), len(lemmas), func(sent, ti, start, end, tagIdx, lemmaIdx int) {
@@ -180,9 +197,9 @@ func decodeTokenBlock(data []byte, text string, nSents, nTokens int, tags, lemma
 		arena[ti] = nlp.Token{
 			Text:  text[start:end],
 			Lemma: lemmas[lemmaIdx],
-			Tag:   nlp.Tag(tags[tagIdx]),
-			Start: start,
-			End:   end,
+			Start: int32(start),
+			End:   int32(end),
+			Tag:   tags[tagIdx],
 		}
 	})
 	if err != nil {

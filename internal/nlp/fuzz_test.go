@@ -37,12 +37,12 @@ func FuzzTokenize(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, text string) {
 		toks := Tokenize(text)
-		prevEnd := 0
+		prevEnd := int32(0)
 		for i, tok := range toks {
 			if tok.Text == "" {
 				t.Fatalf("token %d is empty", i)
 			}
-			if tok.Start < prevEnd || tok.End <= tok.Start || tok.End > len(text) {
+			if tok.Start < prevEnd || tok.End <= tok.Start || int(tok.End) > len(text) {
 				t.Fatalf("token %d has bad span [%d,%d) after %d in text of %d bytes",
 					i, tok.Start, tok.End, prevEnd, len(text))
 			}

@@ -44,7 +44,7 @@ func TestTokenizeBasic(t *testing.T) {
 func TestTokenizeOffsets(t *testing.T) {
 	in := "Barcelona Weather: Temperature 8º C around 46.4 F"
 	for _, tok := range Tokenize(in) {
-		if tok.Start < 0 || tok.End > len(in) || tok.Start >= tok.End {
+		if tok.Start < 0 || int(tok.End) > len(in) || tok.Start >= tok.End {
 			t.Fatalf("bad offsets %d:%d for %q", tok.Start, tok.End, tok.Text)
 		}
 		if in[tok.Start:tok.End] != tok.Text {
@@ -62,9 +62,9 @@ func TestTokenizeOffsetsProperty(t *testing.T) {
 			return true // tokenizer contract assumes valid UTF-8
 		}
 		toks := Tokenize(s)
-		prevEnd := 0
+		prevEnd := int32(0)
 		for _, tok := range toks {
-			if tok.Start < prevEnd || tok.End > len(s) || tok.Start >= tok.End {
+			if tok.Start < prevEnd || int(tok.End) > len(s) || tok.Start >= tok.End {
 				return false
 			}
 			if s[tok.Start:tok.End] != tok.Text {
@@ -87,7 +87,7 @@ func TestTokenizeCoversNonSpace(t *testing.T) {
 		}
 		var kept int
 		for _, tok := range Tokenize(s) {
-			kept += tok.End - tok.Start
+			kept += int(tok.End - tok.Start)
 		}
 		nonSpace := 0
 		for _, r := range s {
@@ -118,7 +118,7 @@ func tagOf(t *testing.T, sentence, word string) Tag {
 		}
 	}
 	t.Fatalf("word %q not found in %q", word, sentence)
-	return ""
+	return 0
 }
 
 func TestTaggerPaperQuery(t *testing.T) {

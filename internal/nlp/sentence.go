@@ -12,8 +12,8 @@ import (
 // number of consecutive sentences in the document").
 type Sentence struct {
 	Tokens []Token
-	Start  int // byte offset of the first token
-	End    int // byte offset one past the last token
+	Start  int32 // byte offset of the first token
+	End    int32 // byte offset one past the last token
 }
 
 // Text reconstructs a plain-text rendering of the sentence from its tokens.

@@ -14,40 +14,69 @@ import "fmt"
 
 // Tag is a Penn-Treebank-style part-of-speech tag restricted to the subset
 // used by the paper's trace format plus the closed classes needed to tag
-// the evaluation texts.
-type Tag string
+// the evaluation texts. It is a one-byte enum so a Token packs into 48
+// bytes; String returns the tag's name as the paper prints it. The zero
+// Tag is the unset tag of a token Tokenize has not tagged yet.
+type Tag uint8
 
 // The tag inventory. TagOF is split from TagIN because the paper's Table 1
 // prints the preposition "of" with its own OF tag.
 const (
-	TagNP   Tag = "NP"   // proper noun
-	TagNN   Tag = "NN"   // common noun, singular
-	TagNNS  Tag = "NNS"  // common noun, plural
-	TagCD   Tag = "CD"   // cardinal number (incl. ordinals such as "12th")
-	TagIN   Tag = "IN"   // preposition
-	TagOF   Tag = "OF"   // the preposition "of"
-	TagDT   Tag = "DT"   // determiner
-	TagJJ   Tag = "JJ"   // adjective
-	TagRB   Tag = "RB"   // adverb
-	TagVB   Tag = "VB"   // verb, base form
-	TagVBZ  Tag = "VBZ"  // verb, 3rd person singular present
-	TagVBP  Tag = "VBP"  // verb, non-3rd person present
-	TagVBD  Tag = "VBD"  // verb, past tense
-	TagVBG  Tag = "VBG"  // verb, gerund
-	TagVBN  Tag = "VBN"  // verb, past participle
-	TagMD   Tag = "MD"   // modal
-	TagTO   Tag = "TO"   // infinitival "to"
-	TagWP   Tag = "WP"   // wh-pronoun (what, who, which...)
-	TagWRB  Tag = "WRB"  // wh-adverb (when, where, how...)
-	TagPRP  Tag = "PRP"  // personal pronoun
-	TagPRPS Tag = "PRP$" // possessive pronoun
-	TagCC   Tag = "CC"   // coordinating conjunction
-	TagEX   Tag = "EX"   // existential "there"
-	TagSENT Tag = "SENT" // sentence-final punctuation
-	TagPunc Tag = ","    // non-final punctuation (comma, colon, ...)
-	TagSYM  Tag = "SYM"  // symbols (%, º, $ ...)
-	TagUH   Tag = "UH"   // interjection
+	TagNP   Tag = iota + 1 // proper noun
+	TagNN                  // common noun, singular
+	TagNNS                 // common noun, plural
+	TagCD                  // cardinal number (incl. ordinals such as "12th")
+	TagIN                  // preposition
+	TagOF                  // the preposition "of"
+	TagDT                  // determiner
+	TagJJ                  // adjective
+	TagRB                  // adverb
+	TagVB                  // verb, base form
+	TagVBZ                 // verb, 3rd person singular present
+	TagVBP                 // verb, non-3rd person present
+	TagVBD                 // verb, past tense
+	TagVBG                 // verb, gerund
+	TagVBN                 // verb, past participle
+	TagMD                  // modal
+	TagTO                  // infinitival "to"
+	TagWP                  // wh-pronoun (what, who, which...)
+	TagWRB                 // wh-adverb (when, where, how...)
+	TagPRP                 // personal pronoun
+	TagPRPS                // possessive pronoun
+	TagCC                  // coordinating conjunction
+	TagEX                  // existential "there"
+	TagSENT                // sentence-final punctuation
+	TagPunc                // non-final punctuation (comma, colon, ...)
+	TagSYM                 // symbols (%, º, $ ...)
+	TagUH                  // interjection
 )
+
+// tagNames maps each Tag to its printed name; index 0 is the unset tag.
+var tagNames = [...]string{
+	"", "NP", "NN", "NNS", "CD", "IN", "OF", "DT", "JJ", "RB", "VB", "VBZ",
+	"VBP", "VBD", "VBG", "VBN", "MD", "TO", "WP", "WRB", "PRP", "PRP$", "CC",
+	"EX", "SENT", ",", "SYM", "UH",
+}
+
+// String returns the tag's name as the paper's traces print it ("NP",
+// "PRP$", "," ...); the unset tag prints as "".
+func (t Tag) String() string {
+	if int(t) < len(tagNames) {
+		return tagNames[t]
+	}
+	return fmt.Sprintf("Tag(%d)", uint8(t))
+}
+
+// ParseTag returns the Tag whose String is name. ok is false for a name
+// outside the inventory.
+func ParseTag(name string) (t Tag, ok bool) {
+	for i, n := range tagNames {
+		if n == name {
+			return Tag(i), true
+		}
+	}
+	return 0, false
+}
 
 // IsVerb reports whether the tag denotes a verbal category.
 func (t Tag) IsVerb() bool {
@@ -75,13 +104,17 @@ func (t Tag) IsPreposition() bool { return t == TagIN || t == TagOF }
 func (t Tag) IsPunct() bool { return t == TagSENT || t == TagPunc }
 
 // Token is a single analysed token: surface form, byte offsets into the
-// original text, part-of-speech tag and lemma.
+// original text, part-of-speech tag and lemma. Fields are ordered so the
+// struct packs into 48 bytes (two string headers, two int32 offsets and a
+// one-byte tag): restored documents hold one Token per word for as long
+// as they stay decoded, so the width is the index's largest heap term.
+// Offsets are int32, so analysed text is limited to math.MaxInt32 bytes.
 type Token struct {
 	Text  string // surface form exactly as it appears in the input
 	Lemma string // lemma (lower-cased base form)
+	Start int32  // byte offset of the first byte in the input
+	End   int32  // byte offset one past the last byte
 	Tag   Tag    // part-of-speech tag
-	Start int    // byte offset of the first byte in the input
-	End   int    // byte offset one past the last byte
 }
 
 // String renders the token in the paper's trace format:

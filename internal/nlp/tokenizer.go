@@ -40,7 +40,7 @@ func Tokenize(text string) []Token {
 			}
 			// Ordinal suffixes: 12th, 1st, 2nd, 3rd stay one token (CD).
 			j = absorbOrdinal(text, j)
-			toks = append(toks, Token{Text: text[i:j], Start: i, End: j})
+			toks = append(toks, Token{Text: text[i:j], Start: int32(i), End: int32(j)})
 			i = j
 		case isWordRune(r):
 			j := i + size
@@ -60,11 +60,11 @@ func Tokenize(text string) []Token {
 				}
 				break
 			}
-			toks = append(toks, Token{Text: text[i:j], Start: i, End: j})
+			toks = append(toks, Token{Text: text[i:j], Start: int32(i), End: int32(j)})
 			i = j
 		default:
 			// Punctuation and symbols: one token per rune (º, %, ?, ...).
-			toks = append(toks, Token{Text: text[i : i+size], Start: i, End: i + size})
+			toks = append(toks, Token{Text: text[i : i+size], Start: int32(i), End: int32(i + size)})
 			i += size
 		}
 	}

@@ -16,39 +16,66 @@ import (
 	"dwqa/internal/nlp"
 )
 
-// BlockType is the syntactic category of a block.
-type BlockType string
+// BlockType is the syntactic category of a block. BlockType, SubType and
+// Role are one-byte enums whose String is the name the paper's trace
+// prints: the QA layer memoizes the parse of every corpus sentence it
+// reads, so the width of Block is a live-heap term.
+type BlockType uint8
 
 // Block types.
 const (
-	NP  BlockType = "NP"  // noun phrase
-	PP  BlockType = "PP"  // prepositional phrase
-	VBC BlockType = "VBC" // verbal chunk (verbal head)
+	NP  BlockType = iota + 1 // noun phrase
+	PP                       // prepositional phrase
+	VBC                      // verbal chunk (verbal head)
 )
+
+// String returns the block type's name ("NP", "PP", "VBC").
+func (t BlockType) String() string { return enumName(blockTypeNames[:], int(t)) }
+
+var blockTypeNames = [...]string{"", "NP", "PP", "VBC"}
 
 // SubType is the paper's NP subtype annotation. "comun" (sic) follows the
 // paper's own spelling in Table 1.
-type SubType string
+type SubType uint8
 
 // NP subtypes.
 const (
-	SubNone       SubType = ""
-	SubProperNoun SubType = "properNoun"
-	SubCommon     SubType = "comun"
-	SubDate       SubType = "date"
-	SubNumeral    SubType = "numeral"
-	SubDay        SubType = "day"
+	SubNone       SubType = iota // ""
+	SubProperNoun                // "properNoun"
+	SubCommon                    // "comun"
+	SubDate                      // "date"
+	SubNumeral                   // "numeral"
+	SubDay                       // "day"
 )
 
+// String returns the subtype's annotation name; SubNone prints as "".
+func (s SubType) String() string { return enumName(subTypeNames[:], int(s)) }
+
+var subTypeNames = [...]string{"", "properNoun", "comun", "date", "numeral", "day"}
+
 // Role is the grammatical function annotation of an NP.
-type Role string
+type Role uint8
 
 // NP roles.
 const (
-	RoleNone    Role = ""
-	RoleSubject Role = "subject"
-	RoleCompl   Role = "compl"
+	RoleNone    Role = iota // ""
+	RoleSubject             // "subject"
+	RoleCompl               // "compl"
 )
+
+// String returns the role's annotation name; RoleNone prints as "".
+func (r Role) String() string { return enumName(roleNames[:], int(r)) }
+
+var roleNames = [...]string{"", "subject", "compl"}
+
+// enumName returns names[i], or a numeric placeholder for a value
+// outside the table.
+func enumName(names []string, i int) string {
+	if i < len(names) {
+		return names[i]
+	}
+	return "?" + strconv.Itoa(i)
+}
 
 // Block is one syntactic block: a typed span of tokens. A PP embeds the
 // NP (and possibly further PPs) it governs as children; its own Tokens
@@ -310,13 +337,13 @@ func renderBlock(b *strings.Builder, blk Block) {
 		}
 		b.WriteString(" <@/VBC>")
 	default:
-		tag := "<@NP," + string(blk.Role) + "," + string(blk.Sub) + ",,>"
+		tag := "<@NP," + blk.Role.String() + "," + blk.Sub.String() + ",,>"
 		b.WriteString(tag)
 		for _, t := range blk.Tokens {
 			b.WriteByte(' ')
 			b.WriteString(t.String())
 		}
-		b.WriteString(" <@/NP," + string(blk.Role) + "," + string(blk.Sub) + ",,>")
+		b.WriteString(" <@/NP," + blk.Role.String() + "," + blk.Sub.String() + ",,>")
 	}
 }
 

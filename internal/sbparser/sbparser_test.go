@@ -264,3 +264,20 @@ func BenchmarkParse(b *testing.B) {
 		Parse(sents[0])
 	}
 }
+
+// TestAnnotationNames pins the names the block annotations print in the
+// paper's trace format.
+func TestAnnotationNames(t *testing.T) {
+	for _, c := range []struct{ got, want string }{
+		{NP.String(), "NP"}, {PP.String(), "PP"}, {VBC.String(), "VBC"},
+		{SubNone.String(), ""}, {SubProperNoun.String(), "properNoun"},
+		{SubCommon.String(), "comun"}, {SubDate.String(), "date"},
+		{SubNumeral.String(), "numeral"}, {SubDay.String(), "day"},
+		{RoleNone.String(), ""}, {RoleSubject.String(), "subject"},
+		{RoleCompl.String(), "compl"}, {Role(9).String(), "?9"},
+	} {
+		if c.got != c.want {
+			t.Errorf("annotation prints %q, want %q", c.got, c.want)
+		}
+	}
+}

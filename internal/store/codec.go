@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"unsafe"
 )
 
 // The binary codec beneath the snapshot and WAL formats: a writer that
@@ -124,6 +125,20 @@ func (r *reader) str() string {
 	s := string(r.buf[r.off : r.off+n])
 	r.off += n
 	return s
+}
+
+// textView reads a string like str but returns a view of the buffer
+// instead of a copy. The snapshot decoder reads document text with it:
+// the restored index already keeps the file image alive through the
+// token blocks and posting lists it adopts (bytes), so a copied text
+// would hold the same bytes twice. The buffer must not be written after
+// decoding — the rule those adopted byte runs already impose.
+func (r *reader) textView() string {
+	b := r.bytes(r.count(1))
+	if len(b) == 0 {
+		return ""
+	}
+	return unsafe.String(&b[0], len(b))
 }
 
 func (r *reader) strs() []string {

@@ -96,7 +96,9 @@ func appendCRC(buf []byte) []byte {
 
 // DecodeState parses and validates a snapshot file image: magic, version
 // gate, checksum, then the three sections. Every failure is loud and
-// names what broke.
+// names what broke. The returned state aliases buf — document text,
+// token blocks and posting lists are views of it — so the caller must
+// not modify buf afterwards.
 func DecodeState(buf []byte) (*State, error) {
 	if len(buf) < len(snapshotMagic)+4 {
 		return nil, fmt.Errorf("store: snapshot too short (%d bytes)", len(buf))
@@ -307,7 +309,9 @@ func decodeStringMap(r *reader) map[string]string {
 // posting lists delta/varint compressed, the store ships both verbatim:
 // encode is a framed copy and decode hands back capacity-clamped
 // subslices of the file image without materialising a single token or
-// posting. ir.Import validates the blocks and decodes each document
+// posting. Document text is a view of the image too (reader.textView):
+// the image stays alive under the adopted runs anyway, and the text is
+// its largest part. ir.Import validates the blocks and decodes each document
 // lazily on first touch, so restore wall-clock no longer scales with
 // token count — it is dominated by the structural validation pass.
 
@@ -356,7 +360,7 @@ func decodeIR(r *reader, version uint64) *ir.Snapshot {
 		snap.DocToks = make([]int32, 0, nDocs)
 	}
 	for d := 0; d < nDocs && r.err == nil; d++ {
-		doc := ir.Document{URL: r.str(), Text: r.str()}
+		doc := ir.Document{URL: r.str(), Text: r.textView()}
 		if version >= 2 {
 			doc.Ord = r.varint()
 		}
